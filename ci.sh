@@ -90,26 +90,14 @@ XQ_ARENA=1 XQ_THREADS=4 cargo test -q -p xq_core --test supervision
 cargo test -q -p xq_server
 XQ_ARENA=1 XQ_THREADS=4 cargo test -q -p xq_server
 
-step "T16 parallel-scaling table (machine-readable: BENCH_T16.json)"
-cargo run --release -p xq_bench --bin harness -- --only t16 --json BENCH_T16.json > /dev/null
-
-step "T17 planner-coverage table (machine-readable: BENCH_T17.json)"
-cargo run --release -p xq_bench --bin harness -- --only t17 --json BENCH_T17.json > /dev/null
-
-step "T18 VM-vs-interpreter table (machine-readable: BENCH_T18.json)"
-cargo run --release -p xq_bench --bin harness -- --only t18 --json BENCH_T18.json > /dev/null
-
-step "T19 network-serving table (machine-readable: BENCH_T19.json)"
-cargo run --release -p xq_bench --bin harness -- --only t19 --json BENCH_T19.json > /dev/null
-
-step "T20 connection-scaling table (machine-readable: BENCH_T20.json)"
-cargo run --release -p xq_bench --bin harness -- --only t20 --json BENCH_T20.json > /dev/null
-
-step "T21 chaos-soak table (machine-readable: BENCH_T21.json)"
-cargo run --release -p xq_bench --bin harness -- --only t21 --json BENCH_T21.json > /dev/null
-
-step "T22 cursor-core table (machine-readable: BENCH_T22.json)"
-cargo run --release -p xq_bench --bin harness -- --only t22 --json BENCH_T22.json > /dev/null
+# The measurement tables T16-T22, each writing its machine-readable
+# BENCH_TNN.json: parallel scaling, planner coverage, VM vs interpreter,
+# network serving, connection scaling, chaos soak, cursor core. The
+# self-checking tables assert their contracts in-harness.
+for t in 16 17 18 19 20 21 22; do
+    step "T$t harness table (machine-readable: BENCH_T$t.json)"
+    cargo run --release -p xq_bench --bin harness -- --only "t$t" --json "BENCH_T$t.json" > /dev/null
+done
 
 step "cargo bench --no-run --workspace (bench targets must compile)"
 # --workspace matters: from the root, plain `cargo bench` only builds the

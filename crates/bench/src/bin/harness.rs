@@ -85,111 +85,34 @@ fn main() {
             run();
         }
     }
-    // T16/T17/T18 run last and carry the JSON payloads (`--only t17`
-    // writes the T17 coverage JSON, `--only t18` the T18 VM comparison;
-    // any other selection that includes T16 writes the T16 scaling JSON).
-    if only.as_deref().is_none_or(|o| o == "t16") {
-        let rows = t16_parallel();
-        if let Some(path) = &json_path {
-            std::fs::write(path, t16_json(&rows)).expect("write --json file");
-            println!("\nT16 rows written to {path}");
-        }
-    }
-    if only.as_deref().is_none_or(|o| o == "t17") {
-        let cov = t17_coverage();
-        if only.as_deref() == Some("t17") {
-            if let Some(path) = &json_path {
-                std::fs::write(path, t17_json(&cov)).expect("write --json file");
-                println!("\nT17 rows written to {path}");
-            }
-        }
-    }
-    if only.as_deref().is_none_or(|o| o == "t18") {
-        let rows = t18_vm();
-        if only.as_deref() == Some("t18") {
-            if let Some(path) = &json_path {
-                std::fs::write(path, t18_json(&rows)).expect("write --json file");
-                println!("\nT18 rows written to {path}");
-            }
-        }
-    }
-    if only.as_deref().is_none_or(|o| o == "t19") {
-        let rows = t19_serving();
-        if only.as_deref() == Some("t19") {
-            if let Some(path) = &json_path {
-                std::fs::write(path, t19_json(&rows)).expect("write --json file");
-                println!("\nT19 rows written to {path}");
-            }
-        }
-    }
-    if only.as_deref().is_none_or(|o| o == "t20") {
-        let rows = t20_connection_scaling();
-        if only.as_deref() == Some("t20") {
-            if let Some(path) = &json_path {
-                std::fs::write(path, t20_json(&rows)).expect("write --json file");
-                println!("\nT20 rows written to {path}");
-            }
-        }
-    }
-    if only.as_deref().is_none_or(|o| o == "t21") {
-        let rows = t21_chaos();
-        if only.as_deref() == Some("t21") {
-            if let Some(path) = &json_path {
-                std::fs::write(path, t21_json(&rows)).expect("write --json file");
-                println!("\nT21 rows written to {path}");
-            }
-        }
-    }
-    if only.as_deref().is_none_or(|o| o == "t22") {
-        let rows = t22_cursor();
-        if only.as_deref() == Some("t22") {
-            if let Some(path) = &json_path {
-                std::fs::write(path, t22_json(&rows)).expect("write --json file");
-                println!("\nT22 rows written to {path}");
-            }
-        }
-    }
-    if json_path.is_some()
-        && !matches!(
-            only.as_deref(),
-            None | Some("t16")
-                | Some("t17")
-                | Some("t18")
-                | Some("t19")
-                | Some("t20")
-                | Some("t21")
-                | Some("t22")
-        )
-    {
+    // The measurement tables run last and carry the `--json` payloads:
+    // `--only tNN` writes that table's, a run without `--only` writes
+    // T16's.
+    let measured: [(&str, fn() -> Json); 7] = [
+        ("t16", t16_parallel),
+        ("t17", t17_coverage),
+        ("t18", t18_vm),
+        ("t19", t19_serving),
+        ("t20", t20_connection_scaling),
+        ("t21", t21_chaos),
+        ("t22", t22_cursor),
+    ];
+    let json_table = only.as_deref().unwrap_or("t16");
+    if json_path.is_some() && !measured.iter().any(|(name, _)| *name == json_table) {
         panic!("--json requires T16..T22 to run (drop --only or use --only t16/.../t22)");
+    }
+    for (name, run) in measured {
+        if only.as_deref().is_none_or(|o| o == name) {
+            let json = run();
+            if let Some(path) = json_path.as_ref().filter(|_| name == json_table) {
+                let table = name.to_uppercase();
+                std::fs::write(path, json.render(&table)).expect("write --json file");
+                println!("\n{table} rows written to {path}");
+            }
+        }
     }
 
     println!("\nAll requested experiment tables regenerated.");
-}
-
-/// One T17 measurement: planner vs PR 4 baseline coverage on one corpus
-/// document.
-struct T17Row {
-    doc_seed: u64,
-    nodes: usize,
-    queries: usize,
-    /// Queries the PR 4 `outer_for_split` path would have parallelized.
-    baseline: usize,
-    /// Queries the `xq_core::plan` planner parallelizes.
-    planner: usize,
-}
-
-/// The T17 merge-datapoint timings (µs): the retired
-/// `resolve_tokens → forest_from_tokens` merge vs the `IToken` splice.
-struct T17Merge {
-    tokens: usize,
-    reparse_us: f64,
-    splice_us: f64,
-}
-
-struct T17Coverage {
-    rows: Vec<T17Row>,
-    merge: T17Merge,
 }
 
 /// T17 — parallel-path coverage of the random-query corpus: which
@@ -200,7 +123,7 @@ struct T17Coverage {
 /// `let`s, `where`-filtered sources). Every planner-engaged query is
 /// verified byte-identical to sequential at 4 threads as it is counted,
 /// so the coverage number is also a correctness sweep.
-fn t17_coverage() -> T17Coverage {
+fn t17_coverage() -> Json {
     use xq_core::{eval_query_par, outer_for_split, resolve_node_source, ParPlan, Threads};
 
     header("T17  Parallel planner coverage  (xq_core::plan vs PR 4 outer_for_split)");
@@ -259,13 +182,13 @@ fn t17_coverage() -> T17Coverage {
         );
         base_total += baseline;
         plan_total += planner;
-        rows.push(T17Row {
-            doc_seed: seed,
-            nodes: doc.len(),
-            queries: corpus.len(),
-            baseline,
-            planner,
-        });
+        rows.push(vec![
+            ("doc_seed", seed.to_string()),
+            ("nodes", doc.len().to_string()),
+            ("queries", corpus.len().to_string()),
+            ("baseline_engaged", baseline.to_string()),
+            ("planner_engaged", planner.to_string()),
+        ]);
     }
     let pairs = corpus.len() * rows.len();
     println!(
@@ -319,61 +242,23 @@ fn t17_coverage() -> T17Coverage {
         big.len()
     );
     println!("\nShape: the planner strictly widens the parallelizable fraction — every outer-for query still shards, and Seq/nested/let/filtered shapes are new coverage; the per-query verification makes this table a correctness sweep too.");
-    T17Coverage {
+    let merge = vec![
+        ("tokens", itokens.len().to_string()),
+        ("reparse_us", format!("{reparse_us:.1}")),
+        ("splice_us", format!("{splice_us:.1}")),
+    ];
+    Json {
         rows,
-        merge: T17Merge {
-            tokens: itokens.len(),
-            reparse_us,
-            splice_us,
-        },
+        trailer: vec![("merge", json_object(&merge))],
+        ..Json::default()
     }
-}
-
-/// Renders the T17 coverage as the `--json` payload (hand-rolled: the
-/// workspace is offline, no serde).
-fn t17_json(cov: &T17Coverage) -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::from("{\n");
-    out.push_str("  \"table\": \"T17\",\n");
-    out.push_str(&format!("  \"host_threads\": {host},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in cov.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"doc_seed\": {}, \"nodes\": {}, \"queries\": {}, \
-             \"baseline_engaged\": {}, \"planner_engaged\": {}}}{}\n",
-            r.doc_seed,
-            r.nodes,
-            r.queries,
-            r.baseline,
-            r.planner,
-            if i + 1 == cov.rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"merge\": {{\"tokens\": {}, \"reparse_us\": {:.1}, \"splice_us\": {:.1}}}\n",
-        cov.merge.tokens, cov.merge.reparse_us, cov.merge.splice_us
-    ));
-    out.push_str("}\n");
-    out
-}
-
-/// One T16 measurement: a doubling-family workload at a thread count.
-struct T16Row {
-    family: String,
-    n: u32,
-    nodes: u64,
-    outer_items: usize,
-    threads: usize,
-    eval_us: f64,
-    stream_us: f64,
 }
 
 /// T16 — data-parallel evaluation over the arena store (`xq_core::par`,
 /// `stream_query_arena_par`): the cross-join `for`-nest workloads at
 /// 1/2/4 worker threads, plus the indexed-vs-linear `Env::lookup`
 /// contrast and the `QueryService` batch shape.
-fn t16_parallel() -> Vec<T16Row> {
+fn t16_parallel() -> Json {
     use xq_core::{eval_query_par, Threads};
 
     header("T16  Data-parallel evaluation  (xq_core::par, stream_query_arena_par)");
@@ -432,15 +317,15 @@ fn t16_parallel() -> Vec<T16Row> {
                 eval_base / eval_us,
                 stream_base / stream_us
             );
-            rows.push(T16Row {
-                family: family.to_string(),
-                n,
-                nodes: family.size(n),
-                outer_items,
-                threads,
-                eval_us,
-                stream_us,
-            });
+            rows.push(vec![
+                ("family", format!("\"{family}\"")),
+                ("n", n.to_string()),
+                ("nodes", family.size(n).to_string()),
+                ("outer_items", outer_items.to_string()),
+                ("threads", threads.to_string()),
+                ("eval_us", format!("{eval_us:.1}")),
+                ("stream_us", format!("{stream_us:.1}")),
+            ]);
         }
     }
 
@@ -499,44 +384,23 @@ fn t16_parallel() -> Vec<T16Row> {
         batch_us / 64.0
     );
     println!("\nShape: chunks are contiguous spans of the outer for-source; merge preserves document order, so results are byte-identical to sequential (par_diff proves it). The stream speedup has two components: binding items straight from arena spans (algorithmic, visible even at 1 host core) and actual hardware parallelism (needs cores).");
-    rows
-}
-
-/// Renders the T16 rows as the `--json` payload (hand-rolled: the
-/// workspace is offline, no serde).
-fn t16_json(rows: &[T16Row]) -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::from("{\n");
-    out.push_str("  \"table\": \"T16\",\n");
-    out.push_str(&format!("  \"host_threads\": {host},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"family\": \"{}\", \"n\": {}, \"nodes\": {}, \"outer_items\": {}, \
-             \"threads\": {}, \"eval_us\": {:.1}, \"stream_us\": {:.1}}}{}\n",
-            r.family,
-            r.n,
-            r.nodes,
-            r.outer_items,
-            r.threads,
-            r.eval_us,
-            r.stream_us,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+    Json {
+        rows,
+        ..Json::default()
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
-/// One T18 measurement: a configuration's total and per-unit latency.
-struct T18Row {
-    label: &'static str,
-    total_us: f64,
-    per_unit_us: f64,
+/// One T18 row: a configuration's total and per-unit latency.
+fn t18_row(label: &str, total_us: f64, per_unit_us: f64) -> Vec<Field> {
+    vec![
+        ("label", format!("\"{label}\"")),
+        ("total_us", format!("{total_us:.1}")),
+        ("per_unit_us", format!("{per_unit_us:.2}")),
+    ]
 }
 
-fn t18_vm() -> Vec<T18Row> {
-    use xq_core::{compile_query, parse_query, ServeMode, Threads};
+fn t18_vm() -> Json {
+    use xq_core::{compile_query, parse_query, Threads};
 
     header("T18  Bytecode VM and plan cache  (xq_core::vm, QueryService)");
     println!(
@@ -545,7 +409,6 @@ fn t18_vm() -> Vec<T18Row> {
          counter-identical; this table prices the difference.\n"
     );
 
-    let mut rows = Vec::new();
     let src = "for $x in $root//a return <w>{ $x/* }</w>";
     let q = parse_query(src).unwrap();
 
@@ -579,31 +442,17 @@ fn t18_vm() -> Vec<T18Row> {
         println!("| {label} | {us:.1} | {:.2}x |", interp_us / us);
     }
     println!("\nCompile cost (amortized by the cache): {compile_us:.1} µs/plan");
-    rows.push(T18Row {
-        label: "interp_eval",
-        total_us: interp_us,
-        per_unit_us: interp_us,
-    });
-    rows.push(T18Row {
-        label: "interp_parse_eval",
-        total_us: reparse_us,
-        per_unit_us: reparse_us,
-    });
-    rows.push(T18Row {
-        label: "vm_exec",
-        total_us: vm_us,
-        per_unit_us: vm_us,
-    });
-    rows.push(T18Row {
-        label: "compile",
-        total_us: compile_us,
-        per_unit_us: compile_us,
-    });
+    let mut rows = vec![
+        t18_row("interp_eval", interp_us, interp_us),
+        t18_row("interp_parse_eval", reparse_us, reparse_us),
+        t18_row("vm_exec", vm_us, vm_us),
+        t18_row("compile", compile_us, compile_us),
+    ];
 
-    // The service comparison: the exact T16 batch shape (64 requests over
-    // 4 docs, 4 workers, one hot query) under both serve modes. CachedVm
-    // is the default route: workers hit the global plan cache, so the
-    // parse + compile happens once per distinct text per process.
+    // The service row: the exact T16 batch shape (64 requests over 4
+    // docs, 4 workers, one hot query). Workers hit the global plan cache,
+    // so the parse + compile happens once per distinct text per process;
+    // `interp_parse_eval` above is the per-request interpreter baseline.
     let docs: Vec<std::sync::Arc<ArenaDoc>> = (0..4u64)
         .map(|seed| {
             let mut g = TreeGen::new(seed);
@@ -620,41 +469,29 @@ fn t18_vm() -> Vec<T18Row> {
         .take(64)
         .map(|d| xq_core::Request::new(src, d.clone()))
         .collect();
-    println!("\n| serve mode | 64-request batch (µs) | µs/request | speedup |");
-    println!("|---|---|---|---|");
-    let mut interp_batch = 0.0;
-    for (label, mode) in [
-        ("interp", ServeMode::Interp),
-        ("cached_vm", ServeMode::CachedVm),
-    ] {
-        let service = xq_core::QueryService::with_mode(4, mode);
-        let batch_us = time_us(5, || {
-            let got = service.run_batch(batch.clone());
-            assert!(got.iter().all(Result::is_ok));
-        });
-        if matches!(mode, ServeMode::Interp) {
-            interp_batch = batch_us;
-        }
-        println!(
-            "| {label} | {batch_us:.1} | {:.1} | {:.2}x |",
-            batch_us / 64.0,
-            interp_batch / batch_us
-        );
-        rows.push(T18Row {
-            label: match mode {
-                ServeMode::Interp => "service_interp",
-                ServeMode::CachedVm => "service_cached_vm",
-            },
-            total_us: batch_us,
-            per_unit_us: batch_us / 64.0,
-        });
-    }
+    let service = xq_core::QueryService::new(4);
+    let batch_us = time_us(5, || {
+        let got = service.run_batch(batch.clone());
+        assert!(got.iter().all(Result::is_ok));
+    });
+    println!("\n| service | 64-request batch (µs) | µs/request |");
+    println!("|---|---|---|");
+    println!("| cached_vm | {batch_us:.1} | {:.1} |", batch_us / 64.0);
+    rows.push(t18_row("service_cached_vm", batch_us, batch_us / 64.0));
 
-    // Sanity: the modes agree on the batch itself (vm_diff and the
-    // service tests prove this at scale; this is the harness's own check).
-    let a = xq_core::QueryService::with_mode(2, ServeMode::Interp).run_batch(batch.clone());
-    let b = xq_core::QueryService::with_mode(2, ServeMode::CachedVm).run_batch(batch.clone());
-    assert_eq!(a, b, "serve modes diverged on the T18 batch");
+    // Sanity: the service answers every request of the batch exactly as
+    // the Figure 1 interpreter does (vm_diff and the service tests prove
+    // this at scale; this is the harness's own check).
+    for (request, got) in batch.iter().zip(service.run_batch(batch.clone())) {
+        let env = xq_core::Env::with_root(request.doc.to_tree());
+        let (want, _) = xq_core::eval_with(&q, &env, request.budget.clone()).unwrap();
+        let want: String = want.iter().map(cv_xtree::Tree::to_xml).collect();
+        assert_eq!(
+            got,
+            Ok(want),
+            "service diverged from eval_with on the T18 batch"
+        );
+    }
 
     // The parallel entry point still engages through a compiled plan.
     let arena = &docs[0];
@@ -665,8 +502,11 @@ fn t18_vm() -> Vec<T18Row> {
         stats.parallelized, stats.workers
     );
 
-    println!("\nShape: the VM wins by skipping per-request parse + scope re-resolution; the plan cache amortizes compilation to zero on hot queries, which is where the service µs/request delta comes from.");
-    rows
+    println!("\nShape: the VM wins by skipping per-request parse + scope re-resolution; the plan cache amortizes compilation to zero on hot queries, so a served request pays VM execution and the pool handoff, never a parse.");
+    Json {
+        rows,
+        ..Json::default()
+    }
 }
 
 /// One T19 measurement: a closed-loop client count's serving profile
@@ -691,7 +531,7 @@ fn percentile_us(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn t19_serving() -> Vec<T19Row> {
+fn t19_serving() -> Json {
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
     use xq_server::{Frame, Server, ServerConfig};
@@ -834,38 +674,29 @@ fn t19_serving() -> Vec<T19Row> {
          directly into sheds, not latency — the admitted-request percentiles grow \
          with queue depth only, which is the entire point of admission control."
     );
-    rows
-}
-
-/// Renders the T19 rows as the `--json` payload (hand-rolled: the
-/// workspace is offline, no serde).
-fn t19_json(rows: &[T19Row]) -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::from("{\n");
-    out.push_str("  \"table\": \"T19\",\n");
-    out.push_str(&format!("  \"host_threads\": {host},\n"));
-    out.push_str("  \"workers\": 2,\n");
-    out.push_str("  \"queue_capacity\": 4,\n");
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"clients\": {}, \"requests\": {}, \"ok\": {}, \"shed\": {}, \
-             \"shed_rate\": {:.4}, \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
-             \"throughput_rps\": {:.1}, \"wall_ms\": {:.1}}}{}\n",
-            r.clients,
-            r.requests,
-            r.ok,
-            r.shed,
-            r.shed as f64 / r.requests as f64,
-            r.p50_us,
-            r.p99_us,
-            r.throughput_rps,
-            r.wall_ms,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+    Json {
+        header: vec![("workers", "2".into()), ("queue_capacity", "4".into())],
+        rows: rows
+            .iter()
+            .map(|r| {
+                vec![
+                    ("clients", r.clients.to_string()),
+                    ("requests", r.requests.to_string()),
+                    ("ok", r.ok.to_string()),
+                    ("shed", r.shed.to_string()),
+                    (
+                        "shed_rate",
+                        format!("{:.4}", r.shed as f64 / r.requests as f64),
+                    ),
+                    ("p50_us", format!("{:.1}", r.p50_us)),
+                    ("p99_us", format!("{:.1}", r.p99_us)),
+                    ("throughput_rps", format!("{:.1}", r.throughput_rps)),
+                    ("wall_ms", format!("{:.1}", r.wall_ms)),
+                ]
+            })
+            .collect(),
+        ..Json::default()
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// One T20 measurement: a concurrent-connection count served by the
@@ -880,7 +711,7 @@ struct T20Row {
     wall_ms: f64,
 }
 
-fn t20_connection_scaling() -> Vec<T20Row> {
+fn t20_connection_scaling() -> Json {
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
     use xq_server::{Frame, Server, ServerConfig};
@@ -1012,36 +843,24 @@ fn t20_connection_scaling() -> Vec<T20Row> {
          request queues behind ~conns others) — the reactor adds sockets, \
          not threads, and loses nothing."
     );
-    rows
-}
-
-/// Renders the T20 rows as the `--json` payload (hand-rolled: the
-/// workspace is offline, no serde).
-fn t20_json(rows: &[T20Row]) -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::from("{\n");
-    out.push_str("  \"table\": \"T20\",\n");
-    out.push_str(&format!("  \"host_threads\": {host},\n"));
-    out.push_str("  \"workers\": 2,\n");
-    out.push_str("  \"server_threads\": 3,\n");
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"conns\": {}, \"requests\": {}, \"ok\": {}, \
-             \"p50_us\": {:.1}, \"p99_us\": {:.1}, \
-             \"throughput_rps\": {:.1}, \"wall_ms\": {:.1}}}{}\n",
-            r.conns,
-            r.requests,
-            r.ok,
-            r.p50_us,
-            r.p99_us,
-            r.throughput_rps,
-            r.wall_ms,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+    Json {
+        header: vec![("workers", "2".into()), ("server_threads", "3".into())],
+        rows: rows
+            .iter()
+            .map(|r| {
+                vec![
+                    ("conns", r.conns.to_string()),
+                    ("requests", r.requests.to_string()),
+                    ("ok", r.ok.to_string()),
+                    ("p50_us", format!("{:.1}", r.p50_us)),
+                    ("p99_us", format!("{:.1}", r.p99_us)),
+                    ("throughput_rps", format!("{:.1}", r.throughput_rps)),
+                    ("wall_ms", format!("{:.1}", r.wall_ms)),
+                ]
+            })
+            .collect(),
+        ..Json::default()
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// One T21 measurement: a soak under one fault spec (or none, for the
@@ -1059,7 +878,7 @@ struct T21Row {
     wall_ms: f64,
 }
 
-fn t21_chaos() -> Vec<T21Row> {
+fn t21_chaos() -> Json {
     use std::io::{BufRead, BufReader, Write};
     use std::net::TcpStream;
     use xq_server::{Frame, Server, ServerConfig};
@@ -1253,60 +1072,31 @@ fn t21_chaos() -> Vec<T21Row> {
          a single response — and every worker the chaos kills is back \
          before the row ends."
     );
-    rows
-}
-
-/// Renders the T21 rows as the `--json` payload (hand-rolled: the
-/// workspace is offline, no serde).
-fn t21_json(rows: &[T21Row]) -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     let seed: u64 = std::env::var("XQ_FAULT_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(2005);
-    let mut out = String::from("{\n");
-    out.push_str("  \"table\": \"T21\",\n");
-    out.push_str(&format!("  \"host_threads\": {host},\n"));
-    out.push_str("  \"workers\": 2,\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"spec\": \"{}\", \"requests\": {}, \
-             \"ok\": {}, \"internal\": {}, \"shed\": {}, \"deaths\": {}, \
-             \"restarts\": {}, \"throughput_rps\": {:.1}, \"wall_ms\": {:.1}}}{}\n",
-            r.label,
-            r.spec,
-            r.requests,
-            r.ok,
-            r.internal,
-            r.shed,
-            r.deaths,
-            r.restarts,
-            r.throughput_rps,
-            r.wall_ms,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+    Json {
+        header: vec![("workers", "2".into()), ("seed", seed.to_string())],
+        rows: rows
+            .iter()
+            .map(|r| {
+                vec![
+                    ("label", format!("\"{}\"", r.label)),
+                    ("spec", format!("\"{}\"", r.spec)),
+                    ("requests", r.requests.to_string()),
+                    ("ok", r.ok.to_string()),
+                    ("internal", r.internal.to_string()),
+                    ("shed", r.shed.to_string()),
+                    ("deaths", r.deaths.to_string()),
+                    ("restarts", r.restarts.to_string()),
+                    ("throughput_rps", format!("{:.1}", r.throughput_rps)),
+                    ("wall_ms", format!("{:.1}", r.wall_ms)),
+                ]
+            })
+            .collect(),
+        ..Json::default()
     }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// One T22 measurement: one streaming discipline of one doubling family,
-/// timed on the refactored cursor core and on the frozen pre-refactor
-/// engine (`xq_bench::legacy_stream`).
-struct T22Row {
-    family: String,
-    n: u32,
-    discipline: &'static str,
-    tokens_out: u64,
-    legacy_us: f64,
-    cursor_us: f64,
-    /// High-water mark of parked tokens (cursor engine; the legacy
-    /// engine had no such gauge — its parallel merge materialized every
-    /// chunk, so its effective in-flight peak was `tokens_out`).
-    peak_buffered_tokens: u64,
-    workers: usize,
 }
 
 /// T22 — the cursor-core refactor's performance gate: lazy, buffered, and
@@ -1318,7 +1108,7 @@ struct T22Row {
 /// `peak_buffered_tokens` must stay under its queue bound — the number
 /// that proves the merge consumes worker output incrementally where the
 /// old engine materialized whole chunks.
-fn t22_cursor() -> Vec<T22Row> {
+fn t22_cursor() -> Json {
     use cv_xtree::DoublingFamily;
     use xq_bench::legacy_stream as legacy;
     use xq_stream::{DEFAULT_BUFFER_LIMIT, PAR_QUEUE_CAP_TOKENS, PAR_RUN_TOKENS};
@@ -1355,16 +1145,17 @@ fn t22_cursor() -> Vec<T22Row> {
             "cursor core regressed {discipline} on {family}({n}): \
              {cursor_us:.1}µs vs legacy {legacy_us:.1}µs"
         );
-        rows.push(T22Row {
-            family: family.to_string(),
-            n,
-            discipline,
-            tokens_out,
-            legacy_us,
-            cursor_us,
-            peak_buffered_tokens: peak,
-            workers,
-        });
+        rows.push(vec![
+            ("family", format!("\"{family}\"")),
+            ("n", n.to_string()),
+            ("discipline", format!("\"{discipline}\"")),
+            ("tokens_out", tokens_out.to_string()),
+            ("legacy_us", format!("{legacy_us:.1}")),
+            ("cursor_us", format!("{cursor_us:.1}")),
+            ("ratio", format!("{:.3}", cursor_us / legacy_us)),
+            ("peak_buffered_tokens", peak.to_string()),
+            ("workers", workers.to_string()),
+        ]);
     };
     for (family, n_lazy, n) in [
         (DoublingFamily::Binary, 8u32, 11u32),
@@ -1462,57 +1253,54 @@ fn t22_cursor() -> Vec<T22Row> {
          + run {PAR_RUN_TOKENS}) tokens while the old merge parked whole \
          chunk outputs."
     );
-    rows
+    Json {
+        rows,
+        ..Json::default()
+    }
 }
 
-/// Renders the T22 rows as the `--json` payload (hand-rolled: the
-/// workspace is offline, no serde).
-fn t22_json(rows: &[T22Row]) -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::from("{\n");
-    out.push_str("  \"table\": \"T22\",\n");
-    out.push_str(&format!("  \"host_threads\": {host},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"family\": \"{}\", \"n\": {}, \"discipline\": \"{}\", \
-             \"tokens_out\": {}, \"legacy_us\": {:.1}, \"cursor_us\": {:.1}, \
-             \"ratio\": {:.3}, \"peak_buffered_tokens\": {}, \"workers\": {}}}{}\n",
-            r.family,
-            r.n,
-            r.discipline,
-            r.tokens_out,
-            r.legacy_us,
-            r.cursor_us,
-            r.cursor_us / r.legacy_us,
-            r.peak_buffered_tokens,
-            r.workers,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// One JSON field: a key and its already-rendered value.
+type Field = (&'static str, String);
+
+/// A measurement table's `--json` payload: `header` fields follow the
+/// envelope's `table` and `host_threads`, `trailer` fields follow `rows`.
+#[derive(Default)]
+struct Json {
+    header: Vec<Field>,
+    rows: Vec<Vec<Field>>,
+    trailer: Vec<Field>,
 }
 
-/// Renders the T18 rows as the `--json` payload (hand-rolled: the
-/// workspace is offline, no serde).
-fn t18_json(rows: &[T18Row]) -> String {
-    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut out = String::from("{\n");
-    out.push_str("  \"table\": \"T18\",\n");
-    out.push_str(&format!("  \"host_threads\": {host},\n"));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"total_us\": {:.1}, \"per_unit_us\": {:.2}}}{}\n",
-            r.label,
-            r.total_us,
-            r.per_unit_us,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
+/// Renders `{"key": value, …}` on one line.
+fn json_object(fields: &[Field]) -> String {
+    let fields: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect();
+    format!("{{{}}}", fields.join(", "))
+}
+
+impl Json {
+    /// The one envelope writer (hand-rolled: the workspace is offline,
+    /// no serde): one field per line, one row object per line.
+    fn render(&self, table: &str) -> String {
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut out = format!("{{\n  \"table\": \"{table}\",\n  \"host_threads\": {host},\n");
+        for (k, v) in &self.header {
+            out.push_str(&format!("  \"{k}\": {v},\n"));
+        }
+        out.push_str("  \"rows\": [\n");
+        for (i, row) in self.rows.iter().enumerate() {
+            let sep = if i + 1 == self.rows.len() { "" } else { "," };
+            out.push_str(&format!("    {}{sep}\n", json_object(row)));
+        }
+        out.push_str("  ]");
+        for (k, v) in &self.trailer {
+            out.push_str(&format!(",\n  \"{k}\": {v}"));
+        }
+        out.push_str("\n}\n");
+        out
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// Times `f` over `iters` runs (after one warmup) and returns mean µs.

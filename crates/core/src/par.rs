@@ -328,11 +328,11 @@ pub fn eval_query_par(
     }
     // Reuse whatever root build the planner's filter predicates already
     // made — on both the parallel and the fallback path.
-    let (plan, planner_root) = ParPlan::of_with_root_cache(q, doc, budget.clone(), None);
+    let (plan, mut planner_root) = ParPlan::of_with_root_cache(q, doc, budget.clone(), None);
     if !plan.engages() {
         return eval_seq(q, doc, budget, threads, planner_root);
     }
-    eval_plan(&plan, doc, budget, threads, planner_root)
+    eval_plan(&plan, doc, budget, threads, &mut planner_root)
 }
 
 /// [`eval_query_par`] for a compiled plan: the data-parallel entry point
@@ -348,61 +348,62 @@ pub fn eval_compiled_par(
     doc: &ArenaDoc,
     budget: Budget,
 ) -> Result<(Vec<Tree>, ParStats), XqError> {
-    let threads = budget.threads.count();
-    if threads <= 1 || !plan.par_hint() {
-        return exec_seq(plan, doc, budget, threads, None);
-    }
-    let (par_plan, planner_root) =
-        ParPlan::of_with_root_cache(plan.query(), doc, budget.clone(), None);
-    if !par_plan.engages() {
-        return exec_seq(plan, doc, budget, threads, planner_root);
-    }
-    eval_plan(&par_plan, doc, budget, threads, planner_root)
+    eval_compiled_rooted(plan, doc, budget, &mut None)
 }
 
-/// The compiled sequential fallback: materialize the tree once (reusing
-/// any build the planner already made) and run the VM executor.
-fn exec_seq(
+/// [`eval_compiled_par`] with the root tree threaded through a
+/// caller-owned slot. A tree already in `root` seeds the planner's
+/// `$root` predicates, the executor, and the VM instead of a fresh
+/// `doc.to_tree()`; whatever tree the call built is left in the slot.
+/// This is how a `QueryService` worker keeps one materialized tree per
+/// document across requests. The slot must hold `doc`'s own tree (or
+/// nothing): a seed is used as-is, never checked.
+pub(crate) fn eval_compiled_rooted(
     plan: &crate::vm::CompiledPlan,
     doc: &ArenaDoc,
     budget: Budget,
-    threads: usize,
-    root_cache: Option<Tree>,
+    root: &mut Option<Tree>,
 ) -> Result<(Vec<Tree>, ParStats), XqError> {
-    let root = root_cache.unwrap_or_else(|| doc.to_tree());
-    let (out, stats) = crate::vm::exec_with(plan, &Env::with_root(root), budget)?;
+    let threads = budget.threads.count();
+    if threads > 1 && plan.par_hint() {
+        let (par_plan, planner_root) =
+            ParPlan::of_with_root_cache(plan.query(), doc, budget.clone(), root.take());
+        *root = planner_root;
+        if par_plan.engages() {
+            return eval_plan(&par_plan, doc, budget, threads, root);
+        }
+    }
+    // The compiled sequential route: materialize the tree once (reusing
+    // the seed or the planner's build) and run the VM executor.
+    let tree = root.get_or_insert_with(|| doc.to_tree()).clone();
+    let (out, stats) = crate::vm::exec_with(plan, &Env::with_root(tree), budget)?;
     Ok((
         out,
         ParStats {
             threads,
-            workers: 0,
-            outer_items: 0,
-            parallelized: false,
             steps: stats.steps,
             items: stats.items,
+            ..ParStats::default()
         },
     ))
 }
 
-/// Executes an already-built, engaging plan. Callers that need the
-/// engagement decision before committing to this path (`QueryService`
-/// keeps non-engaging threaded requests on its cached-tree route) plan
-/// once and pass the plan here instead of re-planning via
-/// [`eval_query_par`]. `root_cache` is an already-materialized root tree
-/// (the planner's predicate build, or a service cache hit) — reused so
-/// the "root built once per query" contract holds across planner and
-/// executor.
-pub(crate) fn eval_plan(
+/// Executes an already-built, engaging plan. `root` is the caller's
+/// root-tree slot (the planner's predicate build, or a service cache
+/// hit): reused when the plan needs `$root`, and filled when it needs
+/// one and the slot is empty — so the "root built once per query"
+/// contract holds across planner, executor, and service cache.
+fn eval_plan(
     plan: &ParPlan<'_>,
     doc: &ArenaDoc,
     budget: Budget,
     threads: usize,
-    root_cache: Option<Tree>,
+    root: &mut Option<Tree>,
 ) -> Result<(Vec<Tree>, ParStats), XqError> {
     // Build shared values once, before any thread split (satellite fix:
     // this used to happen once per worker).
     let root = if plan.needs_root() {
-        Some(root_cache.unwrap_or_else(|| doc.to_tree()))
+        Some(root.get_or_insert_with(|| doc.to_tree()).clone())
     } else {
         None
     };
@@ -824,6 +825,36 @@ mod tests {
                 "exact exhaustion must error deterministically, got {got:?}"
             );
         }
+    }
+
+    #[test]
+    fn root_slot_is_filled_and_a_seed_is_reused() {
+        let doc = arena("<r><a/><a/><b/></r>");
+        let four = Budget::default().with_threads(Threads::N(4));
+        let cases = [
+            ("$root/*", Budget::default(), false),
+            // One `b`: the planner runs but has nothing to split.
+            ("for $x in $root/b return $x", four.clone(), false),
+            // Two `a`s and a body reading `$root`: engages, needs the root.
+            ("for $x in $root/a return <w>{ $root/b }</w>", four, true),
+        ];
+        for (src, budget, engages) in cases {
+            let q = parse_query(src).unwrap();
+            let mut slot = None;
+            let (out, stats) =
+                eval_compiled_rooted(&crate::compile_query(&q), &doc, budget, &mut slot).unwrap();
+            assert_eq!(stats.parallelized, engages, "{src}");
+            assert_eq!(slot, Some(doc.to_tree()), "{src} left the slot empty");
+            assert_eq!(xml(&out), xml(&eval_query(&q, &doc.to_tree()).unwrap()));
+        }
+        // A seed is used as-is, not rebuilt: seeding another document's
+        // tree makes the sequential route answer for that tree.
+        let other = arena("<s><c/></s>").to_tree();
+        let mut slot = Some(other.clone());
+        let plan = crate::compile_query(&parse_query("$root/*").unwrap());
+        let (out, _) = eval_compiled_rooted(&plan, &doc, Budget::default(), &mut slot).unwrap();
+        assert_eq!(xml(&out), "<c/>");
+        assert_eq!(slot, Some(other));
     }
 
     #[test]

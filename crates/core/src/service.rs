@@ -18,12 +18,13 @@
 //! completions back into an `epoll_wait` loop without parking a thread
 //! per connection.
 //!
-//! On the default route ([`ServeMode::CachedVm`]) workers do not parse at
-//! all: query text resolves through the process-wide
-//! [`PlanCache`] to a [`CompiledPlan`](crate::vm::CompiledPlan) —
-//! compiled exactly once per process, however many workers race on it —
-//! and runs on the bytecode VM. [`ServeMode::Interp`] preserves the
-//! parse-per-request interpreter route as a baseline.
+//! Workers do not parse at all: query text resolves through the
+//! process-wide [`PlanCache`] to a [`CompiledPlan`](crate::vm::CompiledPlan)
+//! — compiled exactly once per process, however many workers race on it —
+//! and runs on [`eval_compiled_par`](crate::eval_compiled_par)'s route:
+//! the bytecode VM, sharded by the parallel planner when the budget asks
+//! for threads and the plan engages. There is one serving route; the
+//! Figure 1 interpreter is the reference `vm_diff` holds it to.
 //!
 //! ## Fault containment
 //!
@@ -60,9 +61,9 @@
 //! the arena → tree conversion once per worker, not once per request.
 
 use crate::fault::{FaultPoint, Faults, INJECTED_PANIC_PREFIX};
-use crate::semantics::{eval_with, Budget, Env, XqError};
+use crate::par::eval_compiled_rooted;
+use crate::semantics::{Budget, XqError};
 use crate::vm::PlanCache;
-use crate::Query;
 use cv_xtree::{ArenaDoc, Tree};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -76,17 +77,18 @@ use std::time::{Duration, Instant};
 /// against `doc` under `budget`.
 #[derive(Clone)]
 pub struct Request {
-    /// The query in the paper's surface syntax (parsed by the worker).
+    /// The query in the paper's surface syntax (compiled once per
+    /// process through the [`PlanCache`]).
     pub query: Arc<str>,
     /// The document, shared across workers without copying.
     pub doc: Arc<ArenaDoc>,
     /// Per-request resource limits. A `threads` knob above 1 routes the
     /// request through the parallel planner
-    /// ([`eval_query_par`](crate::eval_query_par)), sharding the query's
-    /// loops across that many scoped workers *inside* the pool worker —
-    /// intra-query parallelism on top of the pool's inter-query
+    /// ([`eval_compiled_par`](crate::eval_compiled_par)), sharding the
+    /// query's loops across that many scoped workers *inside* the pool
+    /// worker — intra-query parallelism on top of the pool's inter-query
     /// parallelism. The default ([`Threads::One`](crate::Threads)) keeps
-    /// requests on the cached-tree sequential path.
+    /// requests on the sequential VM route.
     pub budget: Budget,
 }
 
@@ -156,31 +158,14 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// Which evaluation route the pool workers take.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum ServeMode {
-    /// Parse every request and tree-walk the Figure 1 interpreter — the
-    /// pre-VM behavior, kept as the T18 baseline and for mode-differential
-    /// tests. This is the latent per-request re-parse the plan cache
-    /// fixes.
-    Interp,
-    /// Compile through the process-wide [`PlanCache`] and run the
-    /// bytecode VM: a hot query parses and compiles once per process,
-    /// not once per request per worker. The default.
-    #[default]
-    CachedVm,
-}
-
 /// Construction-time pool configuration: everything the workers and the
 /// supervisor need fixed before the first thread spawns.
-/// [`QueryService::new`]/[`QueryService::with_mode`] cover the common
-/// cases; chaos tests and the front door use the full struct.
+/// [`QueryService::new`] covers the common case; chaos tests and the
+/// front door use the full struct.
 #[derive(Clone)]
 pub struct PoolConfig {
     /// Worker threads (at least 1).
     pub workers: usize,
-    /// Evaluation route (VM by default).
-    pub mode: ServeMode,
     /// Seeded fault registry; `None` (the default) disables injection
     /// entirely — each hook is then a single pointer test.
     pub faults: Option<Arc<Faults>>,
@@ -203,7 +188,6 @@ impl Default for PoolConfig {
     fn default() -> PoolConfig {
         PoolConfig {
             workers: 2,
-            mode: ServeMode::default(),
             faults: None,
             restart_budget: 32,
             restart_backoff: Duration::from_millis(1),
@@ -393,7 +377,6 @@ struct Pool {
     /// handle keeps alive), the receiver cannot drop while the service
     /// exists — the invariant that makes `enqueue`'s send infallible.
     jobs_rx: Mutex<Receiver<Job>>,
-    mode: ServeMode,
     faults: Option<Arc<Faults>>,
     /// Jobs accepted but not yet picked up by a worker — *all* of them,
     /// whichever path enqueued them. Pure observability.
@@ -467,16 +450,14 @@ fn run_job(pool: &Pool, job: Job, cache: &mut HashMap<usize, (Arc<ArenaDoc>, Tre
     // The unwind fence. `AssertUnwindSafe` is justified by audit:
     // * `request` is shared immutable state (Arc'd query text, document,
     //   budget clone) — nothing to corrupt.
-    // * `cache` (the worker's doc-tree map) mutates only via
-    //   `entry().or_insert_with(build)`: a panic inside `build` inserts
-    //   nothing, leaving the map consistent.
+    // * `cache` (the worker's doc-tree map) mutates only after
+    //   evaluation returns, by inserting a finished tree: a panic during
+    //   evaluation inserts nothing, leaving the map consistent.
     // * The process-wide plan cache and label interner are lock-striped;
     //   their locks recover from poisoning (`PoisonError::into_inner`)
     //   and every write is insert-after-construct, so a panic under a
     //   write lock at worst loses the entry being inserted.
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        serve(&request, cache, pool.mode, faults)
-    }));
+    let result = catch_unwind(AssertUnwindSafe(|| serve(&request, cache, faults)));
     // Gauge before reply: a collected batch implies `in_flight` has
     // already been released for each of its requests (tests assert the
     // gauges are zero immediately after `run_batch` returns).
@@ -493,27 +474,33 @@ fn run_job(pool: &Pool, job: Job, cache: &mut HashMap<usize, (Arc<ArenaDoc>, Tre
     }
 }
 
-/// Spawns one worker thread. The `alive` gauge increments inside the
-/// thread (paired with the sentinel's decrement), so a failed spawn
-/// never skews it.
+/// Spawns one worker thread. The `alive` gauge counts the worker from
+/// before the spawn, so `alive_workers` is exact as soon as construction
+/// (or a respawn) returns rather than once the thread gets scheduled; the
+/// thread's sentinel releases the count, and a failed spawn releases it
+/// here.
 fn spawn_worker(
     pool: &Arc<Pool>,
     id: usize,
     notices: Sender<Notice>,
 ) -> std::io::Result<JoinHandle<()>> {
-    let pool = Arc::clone(pool);
-    std::thread::Builder::new()
+    pool.alive.fetch_add(1, Ordering::SeqCst);
+    let worker_pool = Arc::clone(pool);
+    let spawned = std::thread::Builder::new()
         .name(format!("xq-worker-{id}"))
         .spawn(move || {
-            pool.alive.fetch_add(1, Ordering::SeqCst);
             let _sentinel = Sentinel {
                 id,
                 notices,
-                alive: Arc::clone(&pool.alive),
-                deaths: Arc::clone(&pool.deaths),
+                alive: Arc::clone(&worker_pool.alive),
+                deaths: Arc::clone(&worker_pool.deaths),
             };
-            worker_loop(&pool);
-        })
+            worker_loop(&worker_pool);
+        });
+    if spawned.is_err() {
+        pool.alive.fetch_sub(1, Ordering::SeqCst);
+    }
+    spawned
 }
 
 /// The supervisor body: join the fallen, respawn under budget, and when
@@ -641,35 +628,13 @@ pub struct QueryService {
 /// clear — requests batches are expected to cycle few distinct docs).
 const DOC_CACHE_CAP: usize = 32;
 
-/// The worker's materialized view of a request's document: one tree per
-/// (worker, document), whatever route the request takes. `build` supplies
-/// the tree on a miss (usually `doc.to_tree()`, or a build the planner
-/// already made).
-fn cached_tree_or(
-    request: &Request,
-    cache: &mut HashMap<usize, (Arc<ArenaDoc>, Tree)>,
-    build: impl FnOnce() -> Tree,
-) -> Tree {
-    let key = Arc::as_ptr(&request.doc) as usize;
-    if cache.len() >= DOC_CACHE_CAP && !cache.contains_key(&key) {
-        cache.clear();
-    }
-    cache
-        .entry(key)
-        // Holding the Arc in the cache keeps the pointer identity stable.
-        .or_insert_with(|| (request.doc.clone(), build()))
-        .1
-        .clone()
-}
-
-fn cached_tree(request: &Request, cache: &mut HashMap<usize, (Arc<ArenaDoc>, Tree)>) -> Tree {
-    cached_tree_or(request, cache, || request.doc.to_tree())
-}
-
+/// Serves one request: fault hooks, the doomed-request preflight, one
+/// shared [`PlanCache`] probe (scoping, the planner hint, and the
+/// optimizer verdict are baked into the plan), and one evaluation seeded
+/// with the worker's tree for the document.
 fn serve(
     request: &Request,
     cache: &mut HashMap<usize, (Arc<ArenaDoc>, Tree)>,
-    mode: ServeMode,
     faults: Option<&Faults>,
 ) -> Result<String, ServiceError> {
     if let Some(f) = faults {
@@ -689,110 +654,29 @@ fn serve(
         .budget
         .preflight()
         .map_err(|e| ServiceError::from_eval(&e))?;
-    match mode {
-        ServeMode::Interp => serve_interp(request, cache),
-        ServeMode::CachedVm => serve_cached_vm(request, cache),
-    }
-}
-
-/// The compiled route: one shared [`PlanCache`] probe replaces the
-/// worker-side per-request parse (and re-derives nothing — scoping, the
-/// planner hint, and the optimizer verdict are baked into the plan).
-fn serve_cached_vm(
-    request: &Request,
-    cache: &mut HashMap<usize, (Arc<ArenaDoc>, Tree)>,
-) -> Result<String, ServiceError> {
     let plan = PlanCache::global()
         .get_or_compile(&request.query)
         .map_err(|e| ServiceError::Parse(e.to_string()))?;
-    let threads = request.budget.threads.count();
-    // The baked hint proves most non-shardable queries out of the planner
-    // without walking the AST; hinted queries plan as before.
-    if threads > 1 && plan.par_hint() {
-        let key = Arc::as_ptr(&request.doc) as usize;
-        let seed = cache.get(&key).map(|(_, t)| t.clone());
-        let (par_plan, planner_root) = crate::ParPlan::of_with_root_cache(
-            plan.query(),
-            &request.doc,
-            request.budget.clone(),
-            seed,
-        );
-        if let Some(t) = &planner_root {
-            let _ = cached_tree_or(request, cache, || t.clone());
+    // One tree per (worker, document), keyed by the `Arc` pointer
+    // identity: a hit seeds the planner and the VM; on a miss, whatever
+    // tree the evaluation built is kept for the next request.
+    let key = Arc::as_ptr(&request.doc) as usize;
+    let mut root = cache.get(&key).map(|(_, t)| t.clone());
+    let hit = root.is_some();
+    let result = eval_compiled_rooted(&plan, &request.doc, request.budget.clone(), &mut root);
+    if let (false, Some(tree)) = (hit, root) {
+        if cache.len() >= DOC_CACHE_CAP {
+            cache.clear();
         }
-        if par_plan.engages() {
-            let root = match planner_root {
-                Some(t) => Some(t),
-                None if par_plan.needs_root() => Some(cached_tree(request, cache)),
-                None => None,
-            };
-            let (out, _) = crate::par::eval_plan(
-                &par_plan,
-                &request.doc,
-                request.budget.clone(),
-                threads,
-                root,
-            )
-            .map_err(|e| ServiceError::from_eval(&e))?;
-            return Ok(out.iter().map(Tree::to_xml).collect());
-        }
+        // Holding the Arc in the cache keeps the pointer identity stable.
+        cache.insert(key, (Arc::clone(&request.doc), tree));
     }
-    let tree = cached_tree(request, cache);
-    let (out, _) = crate::vm::exec_with(&plan, &Env::with_root(tree), request.budget.clone())
-        .map_err(|e| ServiceError::from_eval(&e))?;
-    Ok(out.iter().map(Tree::to_xml).collect())
-}
-
-/// The pre-VM route, unchanged: parse per request, tree-walk Figure 1.
-fn serve_interp(
-    request: &Request,
-    cache: &mut HashMap<usize, (Arc<ArenaDoc>, Tree)>,
-) -> Result<String, ServiceError> {
-    let query: Query =
-        crate::parse_query(&request.query).map_err(|e| ServiceError::Parse(e.to_string()))?;
-    let threads = request.budget.threads.count();
-    if threads > 1 {
-        // Intra-query parallelism: plan-driven sharding over the arena
-        // (byte-identical to the sequential path — par_diff's contract).
-        // Only when the plan actually engages — otherwise fall through to
-        // the cached-tree route below, so non-shardable threaded requests
-        // still hit the per-worker document cache instead of paying a
-        // fresh to_tree() per request.
-        // Seed the planner with the worker's cached tree (lookup only —
-        // no eager build), so $root-referencing filter predicates reuse
-        // it; whatever build the planning session ends with is folded
-        // back into the cache, so later requests for the same document
-        // never rebuild it either.
-        let key = Arc::as_ptr(&request.doc) as usize;
-        let seed = cache.get(&key).map(|(_, t)| t.clone());
-        let (plan, planner_root) =
-            crate::ParPlan::of_with_root_cache(&query, &request.doc, request.budget.clone(), seed);
-        if let Some(t) = &planner_root {
-            let _ = cached_tree_or(request, cache, || t.clone());
-        }
-        if plan.engages() {
-            // Root-needing plans draw the tree from the same cache the
-            // sequential route uses — no per-request rebuild.
-            let root = match planner_root {
-                Some(t) => Some(t),
-                None if plan.needs_root() => Some(cached_tree(request, cache)),
-                None => None,
-            };
-            let (out, _) =
-                crate::par::eval_plan(&plan, &request.doc, request.budget.clone(), threads, root)
-                    .map_err(|e| ServiceError::from_eval(&e))?;
-            return Ok(out.iter().map(Tree::to_xml).collect());
-        }
-    }
-    let tree = cached_tree(request, cache);
-    let (out, _) = eval_with(&query, &Env::with_root(tree), request.budget.clone())
-        .map_err(|e| ServiceError::from_eval(&e))?;
+    let (out, _) = result.map_err(|e| ServiceError::from_eval(&e))?;
     Ok(out.iter().map(Tree::to_xml).collect())
 }
 
 impl QueryService {
-    /// Spawns a pool of `workers` evaluation threads (at least 1) on the
-    /// default route ([`ServeMode::CachedVm`]).
+    /// Spawns a pool of `workers` evaluation threads (at least 1).
     pub fn new(workers: usize) -> QueryService {
         QueryService::with_config(PoolConfig {
             workers,
@@ -800,23 +684,13 @@ impl QueryService {
         })
     }
 
-    /// [`QueryService::new`] with an explicit evaluation route.
-    pub fn with_mode(workers: usize, mode: ServeMode) -> QueryService {
-        QueryService::with_config(PoolConfig {
-            workers,
-            mode,
-            ..PoolConfig::default()
-        })
-    }
-
-    /// The full construction surface: workers, route, fault registry,
-    /// and supervision parameters.
+    /// The full construction surface: workers, fault registry, and
+    /// supervision parameters.
     pub fn with_config(config: PoolConfig) -> QueryService {
         let workers = config.workers.max(1);
         let (jobs_tx, jobs_rx) = channel::<Job>();
         let pool = Arc::new(Pool {
             jobs_rx: Mutex::new(jobs_rx),
-            mode: config.mode,
             faults: config.faults,
             queued: Arc::new(AtomicUsize::new(0)),
             admitted: Arc::new(AtomicUsize::new(0)),
@@ -878,9 +752,10 @@ impl QueryService {
         self.worker_count
     }
 
-    /// Worker threads running right now. Below [`QueryService::workers`]
-    /// transiently while the supervisor respawns a crashed worker (or
-    /// during startup), permanently once the restart budget is spent.
+    /// Worker threads spawned and not yet exited, right now. Below
+    /// [`QueryService::workers`] transiently while the supervisor
+    /// respawns a crashed worker, permanently once the restart budget is
+    /// spent.
     pub fn alive_workers(&self) -> usize {
         self.pool.alive.load(Ordering::SeqCst)
     }
@@ -1089,32 +964,37 @@ mod tests {
 
     #[test]
     fn batch_results_match_direct_evaluation_in_order() {
+        use crate::semantics::Threads;
         let docs = corpus();
         let queries = [
             "for $x in $root//a return <w>{ $x/* }</w>",
             "$root/*",
             "<out>{ for $x in $root/* return if ($x =atomic <k/>) then $x }</out>",
+            "for $x in", // parse error
+            "$nope",     // eval error
         ];
+        // The Figure 1 interpreter's answer in the service's vocabulary.
+        let direct = |r: &Request| -> Result<String, ServiceError> {
+            let q = crate::parse_query(&r.query).map_err(|e| ServiceError::Parse(e.to_string()))?;
+            let out =
+                eval_query(&q, &r.doc.to_tree()).map_err(|e| ServiceError::Eval(e.to_string()))?;
+            Ok(out.iter().map(Tree::to_xml).collect())
+        };
         let service = QueryService::new(4);
         assert_eq!(service.workers(), 4);
-        let requests: Vec<Request> = docs
-            .iter()
-            .flat_map(|d| queries.iter().map(|q| Request::new(q, d.clone())))
-            .collect();
-        let want: Vec<String> = requests
-            .iter()
-            .map(|r| {
-                eval_query(&crate::parse_query(&r.query).unwrap(), &r.doc.to_tree())
-                    .unwrap()
-                    .iter()
-                    .map(Tree::to_xml)
-                    .collect()
-            })
-            .collect();
-        let got = service.run_batch(requests);
-        assert_eq!(got.len(), want.len());
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.as_ref().expect("request succeeds"), w);
+        for threads in [Threads::One, Threads::N(4)] {
+            let requests: Vec<Request> = docs
+                .iter()
+                .flat_map(|d| {
+                    queries.iter().map(move |q| {
+                        let mut r = Request::new(q, d.clone());
+                        r.budget = r.budget.with_threads(threads);
+                        r
+                    })
+                })
+                .collect();
+            let want: Vec<_> = requests.iter().map(direct).collect();
+            assert_eq!(service.run_batch(requests), want, "diverged at {threads:?}");
         }
     }
 
@@ -1203,37 +1083,6 @@ mod tests {
             1,
             "a repeated-query batch must hit one cached compilation"
         );
-    }
-
-    #[test]
-    fn serve_modes_agree_byte_for_byte() {
-        use crate::semantics::Threads;
-        let docs = corpus();
-        let queries = [
-            "for $x in $root//a return <w>{ $x/* }</w>",
-            "$root/*",
-            "<out>{ for $x in $root/* return if ($x =atomic <k/>) then $x }</out>",
-            "for $x in", // parse error: identical rendering on both routes
-            "$nope",     // eval error: identical rendering on both routes
-        ];
-        let make = |threads: Threads| -> Vec<Request> {
-            docs.iter()
-                .flat_map(|d| {
-                    queries.iter().map(move |q| {
-                        let mut r = Request::new(q, d.clone());
-                        r.budget = r.budget.with_threads(threads);
-                        r
-                    })
-                })
-                .collect()
-        };
-        let interp = QueryService::with_mode(2, ServeMode::Interp);
-        let vm = QueryService::with_mode(2, ServeMode::CachedVm);
-        for threads in [Threads::One, Threads::N(4)] {
-            let want = interp.run_batch(make(threads));
-            let got = vm.run_batch(make(threads));
-            assert_eq!(got, want, "modes diverged at {threads:?}");
-        }
     }
 
     #[test]

@@ -90,8 +90,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xq_core::{
-    Budget, CancelFlag, CompletionSink, Faults, PoolConfig, QueryService, Request, ServeMode,
-    ServiceError,
+    Budget, CancelFlag, CompletionSink, Faults, PoolConfig, QueryService, Request, ServiceError,
 };
 
 use cv_xtree::ArenaDoc;
@@ -113,16 +112,14 @@ pub struct RateLimit {
 }
 
 /// Server configuration; see the field docs. `Default` gives two
-/// workers, the VM route, an effectively unbounded queue, no rate
-/// limits, a one-second drain deadline, and no documents — tests and
-/// embedders override what they need.
+/// workers, an effectively unbounded queue, no rate limits, a
+/// one-second drain deadline, and no documents — tests and embedders
+/// override what they need.
 #[derive(Clone)]
 pub struct ServerConfig {
     /// Pool worker threads. Total server threads are `workers + 1` (the
     /// reactor), independent of connection count.
     pub workers: usize,
-    /// Pool evaluation route (VM by default).
-    pub mode: ServeMode,
     /// Admission high-water mark: frames arriving while this many
     /// admission-controlled requests are queued (accepted, unserved)
     /// are shed with an `overloaded` response.
@@ -180,7 +177,6 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             workers: 2,
-            mode: ServeMode::default(),
             queue_capacity: usize::MAX,
             batch_max: 32,
             default_budget: Budget::default(),
@@ -257,7 +253,6 @@ impl Server {
         let service = Arc::new(
             QueryService::with_config(PoolConfig {
                 workers: config.workers,
-                mode: config.mode,
                 faults,
                 restart_budget: config.restart_budget,
                 ..PoolConfig::default()

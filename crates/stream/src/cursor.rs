@@ -765,7 +765,7 @@ impl<'q> MatchEmitter<'q> {
 
 /// `for var in source return body` (and `let`, its single-item special
 /// case), item by item: a [`SourceIter`] yields the per-item bindings —
-/// buffered token spans when the Budget-driven policy engaged, lazy
+/// buffered token spans when the buffering policy engaged, lazy
 /// handles otherwise — and the body is rebuilt per binding.
 pub(crate) struct ForLoopCursor<'q> {
     meter: Meter,

@@ -22,7 +22,11 @@
 //!
 //! # Architecture: one pipeline, four entry points
 //!
-//! Every public entry point is a thin configuration wrapper over the same
+//! The four entry points — [`stream_query`] (pure lazy),
+//! [`stream_query_buffered`] (per-source buffering),
+//! [`stream_query_arena`] (`$root` tokenized from an arena) and
+//! [`stream_query_arena_par`] (planner-sharded) — plus the early-exit
+//! [`stream_boolean`] are thin configuration wrappers over the same
 //! machinery:
 //!
 //! * [`cursor`](self) — the [`Cursor`] trait (`pull`/`size_hint`/`fork`/
@@ -220,41 +224,6 @@ pub fn stream_query_arena_par(
         return stream_query_arena(q, doc, max_pulls, buffer_limit);
     }
     par::stream_par(q, doc, max_pulls, buffer_limit, threads)
-}
-
-/// Streams with every knob derived from an evaluation
-/// [`Budget`](xq_core::Budget): the pull cap from `max_steps`, the
-/// per-source buffering cap from [`BufferPolicy::from_budget`] (buffer
-/// under the item allowance, lazy fallback above it).
-pub fn stream_query_budgeted(
-    q: &Query,
-    input: &Tree,
-    budget: &xq_core::Budget,
-) -> Result<(Vec<Token>, StreamStats), StreamError> {
-    stream_tokens(
-        q,
-        input.tokens().into(),
-        budget.max_steps,
-        BufferPolicy::from_budget(budget),
-    )
-}
-
-/// [`stream_query_budgeted`] over an arena document, additionally taking
-/// the worker count from the budget's `threads` knob (the parallel path
-/// engages exactly as in [`stream_query_arena_par`]).
-pub fn stream_query_arena_budgeted(
-    q: &Query,
-    doc: &ArenaDoc,
-    budget: &xq_core::Budget,
-) -> Result<(Vec<Token>, StreamStats), StreamError> {
-    let policy = BufferPolicy::from_budget(budget);
-    stream_query_arena_par(
-        q,
-        doc,
-        budget.max_steps,
-        policy.per_source_cap,
-        budget.threads.count(),
-    )
 }
 
 /// The one sequential driver behind every non-parallel entry point: a
@@ -708,59 +677,6 @@ mod tests {
             "peak {} exceeds bound {bound}",
             stats.peak_buffered_tokens
         );
-    }
-
-    /// The Budget-driven entry point derives its knobs from the budget.
-    #[test]
-    fn budgeted_entry_derives_knobs() {
-        let q = parse_query("for $v in $root/a return <w>{$v}</w>").unwrap();
-        let t = parse_tree("<r><a><x/></a><a><y/></a></r>").unwrap();
-        let budget = xq_core::Budget {
-            max_steps: FUEL,
-            max_items: FUEL,
-            ..xq_core::Budget::default()
-        };
-        let (got, stats) = stream_query_budgeted(&q, &t, &budget).unwrap();
-        let (want, wstats) = stream_query_buffered(&q, &t, FUEL, DEFAULT_BUFFER_LIMIT).unwrap();
-        assert_eq!(got, want);
-        assert_eq!(stats, wstats);
-        // A tiny item allowance shrinks the buffering cap (lazy fallback)
-        // without changing bytes.
-        let tight = xq_core::Budget {
-            max_steps: FUEL,
-            max_items: 1,
-            ..xq_core::Budget::default()
-        };
-        let (got, stats) = stream_query_budgeted(&q, &t, &tight).unwrap();
-        assert_eq!(got, want);
-        assert!(stats.lazy_fallbacks >= 1, "{stats:?}");
-        // An exhausted step budget errors deterministically.
-        let none = xq_core::Budget {
-            max_steps: 0,
-            ..xq_core::Budget::default()
-        };
-        assert_eq!(
-            stream_query_budgeted(&q, &t, &none).unwrap_err(),
-            StreamError::Budget
-        );
-    }
-
-    /// The arena budgeted entry agrees with the explicit-knob par entry.
-    #[test]
-    fn arena_budgeted_entry_agrees() {
-        let q = parse_query("for $x in $root//a return <w>{ $x/* }</w>").unwrap();
-        let mut g = cv_xtree::TreeGen::new(3);
-        let t = cv_xtree::random_tree(&mut g, 30, &["a", "b"]);
-        let doc = ArenaDoc::from_tree(&t);
-        let budget = xq_core::Budget {
-            max_steps: FUEL,
-            max_items: FUEL,
-            threads: xq_core::Threads::N(4),
-            ..xq_core::Budget::default()
-        };
-        let (got, _) = stream_query_arena_budgeted(&q, &doc, &budget).unwrap();
-        let (want, _) = stream_query_arena_par(&q, &doc, FUEL, DEFAULT_BUFFER_LIMIT, 4).unwrap();
-        assert_eq!(got, want);
     }
 
     /// Hand-composed pipelines: fork replays from the fork point, kill

@@ -187,13 +187,6 @@ impl Pipeline {
         }
     }
 
-    /// Derives both knobs from an evaluation [`Budget`](xq_core::Budget):
-    /// the pull cap from `max_steps`, the buffering cap from
-    /// [`BufferPolicy::from_budget`].
-    pub fn from_budget(budget: &xq_core::Budget) -> Pipeline {
-        Pipeline::new(budget.max_steps, BufferPolicy::from_budget(budget))
-    }
-
     /// Builds the full pipeline for `q` with `$root` bound to `input` —
     /// the engine path every entry point takes.
     pub fn build<'q>(
