@@ -90,6 +90,12 @@ XQ_ARENA=1 XQ_THREADS=4 cargo test -q -p xq_core --test supervision
 cargo test -q -p xq_server
 XQ_ARENA=1 XQ_THREADS=4 cargo test -q -p xq_server
 
+# The serving benchmark is its own cargo workspace, so the workspace
+# pass above never runs its unit tests — among them the one that parses
+# every workload text and every malformed text with the real parser.
+step "servebench unit tests"
+cargo test -q --offline --manifest-path servebench/Cargo.toml
+
 # The measurement tables T16-T22, each writing its machine-readable
 # BENCH_TNN.json: parallel scaling, planner coverage, VM vs interpreter,
 # network serving, connection scaling, chaos soak, cursor core. The

@@ -672,7 +672,11 @@ fn serve(
         cache.insert(key, (Arc::clone(&request.doc), tree));
     }
     let (out, _) = result.map_err(|e| ServiceError::from_eval(&e))?;
-    Ok(out.iter().map(Tree::to_xml).collect())
+    let mut xml = String::new();
+    for t in &out {
+        t.write_xml(&mut xml);
+    }
+    Ok(xml)
 }
 
 impl QueryService {

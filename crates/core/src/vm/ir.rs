@@ -1,12 +1,14 @@
 //! The instruction set of the bytecode VM.
 //!
-//! A compiled query is a flat [`InstrSeq`] of [`OpCode`]s over three
-//! stacks (lists of trees, booleans, loop frames) plus a static array of
-//! local binding slots — the `CompiledXPath`/`InstrSeq`/`OpCode` shape of
-//! the platynui exemplar, specialized to Figure 1's semantics. `for`/`let`
-//! loops and quantifiers compile to jump-backed loops; short-circuit
-//! `and`/`or` compile to conditional jumps that *keep* the deciding
-//! operand on the stack.
+//! A compiled query is a flat [`InstrSeq`] of [`OpCode`]s over a stack
+//! of lists of trees (one contiguous value stack, each list marked by
+//! where it starts), a boolean stack and a stack of loop frames, plus a
+//! static array of local binding slots — the
+//! `CompiledXPath`/`InstrSeq`/`OpCode` shape of the platynui exemplar,
+//! specialized to Figure 1's semantics. `for`/`let` loops and
+//! quantifiers compile to jump-backed loops; short-circuit `and`/`or`
+//! compile to conditional jumps that *keep* the deciding operand on the
+//! stack.
 //!
 //! Budget accounting is part of the instruction set, not a side effect:
 //! [`OpCode::TickQ`]/[`OpCode::TickC`] reproduce the interpreter's

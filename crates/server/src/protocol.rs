@@ -161,24 +161,32 @@ impl Frame {
     }
 }
 
-/// Writes `s` as a JSON string literal into `out`.
+/// Writes `s` as a JSON string literal into `out`. Runs of bytes that
+/// need no escape are copied whole; every byte that does is ASCII, so
+/// each run ends on a character boundary.
 fn encode_str(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            0x08 => out.push_str("\\b"),
+            0x0C => out.push_str("\\f"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -344,6 +352,50 @@ mod tests {
         // Escaped input parses too, including a surrogate pair.
         let f = Frame::parse(r#"{"s":"aéb😀c\/d"}"#).unwrap();
         assert_eq!(f.get_str("s"), Some("aéb\u{1F600}c/d"));
+    }
+
+    /// The char-at-a-time encoder `encode_str` replaced, kept as its
+    /// reference.
+    fn encode_str_by_char(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                '\u{08}' => out.push_str("\\b"),
+                '\u{0C}' => out.push_str("\\f"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    #[test]
+    fn run_copying_encoder_matches_the_char_by_char_one() {
+        let mut cases = vec![
+            String::new(),
+            "é\"ü\n日本\u{1F600}\\".to_string(),
+            "\u{1F600}\u{01}é".to_string(),
+            "<r><a>ß</a></r>\t\u{7f}\u{80}\u{7ff}\u{800}\u{ffff}".to_string(),
+        ];
+        for b in 0x00..=0x7fu8 {
+            let c = b as char;
+            cases.push(c.to_string());
+            cases.push(format!("a{c}b"));
+            cases.push(format!("é{c}\u{1F600}{c}{c}日"));
+        }
+        for s in &cases {
+            let (mut got, mut want) = (String::new(), String::new());
+            encode_str(&mut got, s);
+            encode_str_by_char(&mut want, s);
+            assert_eq!(got, want, "{s:?}");
+        }
     }
 
     #[test]

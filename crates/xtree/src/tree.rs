@@ -176,7 +176,9 @@ impl Tree {
         s
     }
 
-    fn write_xml(&self, out: &mut String) {
+    /// Appends the XML text of [`Tree::to_xml`] to `out`, so a forest
+    /// serializes into one buffer.
+    pub fn write_xml(&self, out: &mut String) {
         if self.is_leaf() {
             out.push('<');
             out.push_str(self.label().as_str());
